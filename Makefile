@@ -5,10 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-# Line-coverage floor enforced by `make coverage` over the execution engine.
-COVERAGE_FLOOR ?= 85
-
-.PHONY: test lint bench-smoke bench bench-pytest check coverage example \
+.PHONY: test lint bench-smoke bench bench-pytest check example \
 	sensitivity-smoke session-smoke population-smoke cache-smoke \
 	chaos-smoke
 
@@ -124,18 +121,6 @@ cache-smoke:
 
 check: lint test bench-smoke sensitivity-smoke session-smoke \
 	population-smoke cache-smoke chaos-smoke
-
-# Coverage gate over the harness (runner/cache/sweep/policy are the layers
-# fault-tolerance lives in).  Skips gracefully where pytest-cov is absent —
-# the container image pins its python toolchain.
-coverage:
-	@if $(PYTHON) -c "import pytest_cov" >/dev/null 2>&1; then \
-		$(PYTHON) -m pytest tests -q --cov=repro.harness \
-			--cov-report=term-missing --cov-fail-under=$(COVERAGE_FLOOR); \
-	else \
-		echo "[coverage] pytest-cov not installed; skipping" \
-		     "(pip install pytest-cov, then re-run make coverage)"; \
-	fi
 
 example:
 	$(PYTHON) examples/parallel_sweep.py

@@ -70,7 +70,8 @@ class HardwareLoadBalancer:
     def traverse(self, message: Message) -> Generator:
         arrived = self.env.now
         with self._inflight.request() as slot:
-            yield slot
+            if not slot.triggered:
+                yield slot
             yield from self.host.traverse(message, tls=self.tls)
         self._messages_counter.value += float(message.multiplicity)
         self._bytes_counter.value += message.wire_bytes * message.multiplicity

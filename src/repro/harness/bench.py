@@ -589,15 +589,21 @@ def profile_point(out_path: Optional[str | Path] = None, *,
     """cProfile one full experiment point; return the formatted hot spots.
 
     With ``out_path`` the raw stats are also dumped for ``snakeviz`` /
-    ``pstats`` consumption.
+    ``pstats`` consumption.  One unprofiled point runs first and the
+    point is built before profiling starts, so lazy imports (numpy's
+    ``__getattr__``) stay out of the profile.
     """
     import cProfile
     import io
     import pstats
 
+    from .experiment import Experiment
+
+    _bench_experiment_point()
+    experiment = Experiment(_experiment_config())
     profiler = cProfile.Profile()
     profiler.enable()
-    _bench_experiment_point()
+    experiment.run_single(0)
     profiler.disable()
     if out_path is not None:
         profiler.dump_stats(str(out_path))

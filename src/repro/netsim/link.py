@@ -87,14 +87,16 @@ class Link:
         """
         arrived = self.env.now
         multiplicity = message.multiplicity
+        wire_bytes = message.wire_bytes
         if self.down_until > self.env.now:
             # Link-flap outage: frames wait for the link to come back
             # before contending for the wire (guarded so fault-free runs
             # schedule no extra event).
             yield self.env.timeout(self.down_until - self.env.now)
         with self._wire.request() as grant:
-            yield grant
-            tx = (self.serialization_delay(message.wire_bytes)
+            if not grant.triggered:
+                yield grant
+            tx = (self.serialization_delay(wire_bytes)
                   * multiplicity * self.slowdown)
             self._busy_time += tx
             yield self.env.timeout(tx)
@@ -102,7 +104,7 @@ class Link:
         departed = self.env.now
         message.hops.append(HopRecord(self.name, "link", arrived, departed))
         self._messages_counter.value += float(multiplicity)
-        self._bytes_counter.value += message.wire_bytes * multiplicity
+        self._bytes_counter.value += wire_bytes * multiplicity
         self._queueing_series.record(arrived, departed - arrived)
 
     # -- reporting -----------------------------------------------------------

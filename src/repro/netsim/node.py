@@ -64,9 +64,12 @@ class NetworkNode:
     # -- behaviour -----------------------------------------------------------
     def service_time(self, message: Message, tls: TLSProfile = NULL_TLS) -> float:
         """CPU time to handle one message (excluding queueing)."""
+        return self._service_time(message.wire_bytes, tls)
+
+    def _service_time(self, wire_bytes: float, tls: TLSProfile) -> float:
         spec = self.spec
-        cost = spec.per_message_seconds + spec.per_byte_seconds * message.wire_bytes
-        cost += tls.message_cost(message.wire_bytes)
+        cost = spec.per_message_seconds + spec.per_byte_seconds * wire_bytes
+        cost += tls.message_cost(wire_bytes)
         return cost
 
     def traverse(self, message: Message,
@@ -79,15 +82,17 @@ class NetworkNode:
         """
         arrived = self.env.now
         multiplicity = message.multiplicity
+        wire_bytes = message.wire_bytes
         with self._cpu.request() as grant:
-            yield grant
-            cost = self.service_time(message, tls) * multiplicity
+            if not grant.triggered:
+                yield grant
+            cost = self._service_time(wire_bytes, tls) * multiplicity
             self._busy_time += cost
             yield self.env.timeout(cost)
         departed = self.env.now
         message.hops.append(HopRecord(self.name, self.role, arrived, departed))
         self._messages_counter.value += float(multiplicity)
-        self._bytes_counter.value += message.wire_bytes * multiplicity
+        self._bytes_counter.value += wire_bytes * multiplicity
         self._service_series.record(arrived, departed - arrived)
 
     # -- reporting -----------------------------------------------------------

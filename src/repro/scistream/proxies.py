@@ -94,25 +94,30 @@ class TunnelProxy:
     # -- data path ------------------------------------------------------------
     def forwarding_cost(self, message: Message) -> float:
         """Per-message cost paid inside the proxy worker."""
+        return self._forwarding_cost(message.wire_bytes)
+
+    def _forwarding_cost(self, wire_bytes: float) -> float:
         return (self.per_message_seconds
-                + self.per_byte_seconds * message.wire_bytes
-                + self.tunnel_tls.message_cost(message.wire_bytes))
+                + self.per_byte_seconds * wire_bytes
+                + self.tunnel_tls.message_cost(wire_bytes))
 
     def traverse(self, message: Message) -> Generator:
         arrived = self.env.now
         # An aggregate message of multiplicity K pays K messages' worth of
         # forwarding work (exact at K=1); the host node scales its own cost.
         multiplicity = message.multiplicity
+        wire_bytes = message.wire_bytes
         with self._workers.request() as worker:
-            yield worker
+            if not worker.triggered:
+                yield worker
             # Host CPU (shared with everything else on the gateway node).
             yield from self.host.traverse(message, tls=NULL_TLS)
             # Proxy-software forwarding and tunnel crypto.
-            yield self.env.timeout(self.forwarding_cost(message) * multiplicity)
+            yield self.env.timeout(self._forwarding_cost(wire_bytes) * multiplicity)
         departed = self.env.now
         message.hops.append(HopRecord(self.name, "proxy", arrived, departed))
         self._messages_counter.value += float(multiplicity)
-        self._bytes_counter.value += message.wire_bytes * multiplicity
+        self._bytes_counter.value += wire_bytes * multiplicity
         self._delay_series.record(arrived, departed - arrived)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

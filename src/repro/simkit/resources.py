@@ -11,8 +11,11 @@ These model the contention points in the streaming system:
 * :class:`Store` / :class:`FilterStore` — object stores used for message
   queues and mailbox-style communication between simulated processes.
 
-All ``request``/``get``/``put`` operations return events that a process must
-``yield``; releasing is immediate.
+``request`` grants an idle unit in place: the returned :class:`Request` is
+already processed (no kernel event, no suspension), so a process yields it
+only while it is pending (``if not req.triggered: yield req``).  A request
+that has to queue is granted later by a scheduled event.  ``get``/``put``
+return events that a process must ``yield``; releasing is immediate.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Optional
 
-from .core import Environment, Event
+from .core import _PROCESSED, PENDING, Environment, Event
 from .errors import ResourceError
 
 __all__ = [
@@ -38,12 +41,16 @@ __all__ = [
 
 
 class Request(Event):
-    """A pending request for one unit of a :class:`Resource`.
+    """A request for one unit of a :class:`Resource`.
 
-    Usable as a context manager inside a process::
+    A free unit is granted in place: the request is created already
+    processed, takes no event id and never enters the kernel's lanes.
+    Otherwise it queues and a later release grants it through
+    :meth:`succeed`.  Usable as a context manager inside a process::
 
         with resource.request() as req:
-            yield req
+            if not req.triggered:
+                yield req
             ... hold the resource ...
         # released automatically
     """
@@ -51,10 +58,25 @@ class Request(Event):
     __slots__ = ("resource", "proc")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
+        # One request per simulated hop, so the base initializer is inlined
+        # here as in Timeout.
+        env = resource.env
+        self.env = env
+        self._callbacks = None
+        self._defused = False
         self.resource = resource
-        self.proc = resource.env.active_process
-        resource._do_request(self)
+        self.proc = env._active_proc
+        users = resource.users
+        if len(users) < resource._capacity:
+            users.append(self)
+            self._ok = True
+            self._value = None
+            self._callback = _PROCESSED
+        else:
+            self._ok = None
+            self._value = PENDING
+            self._callback = None
+            resource._enqueue(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -63,8 +85,13 @@ class Request(Event):
         # The context-manager exit is the hot release path: skip the
         # confirmation Release event (nobody can observe it here).
         resource = self.resource
-        resource._do_release(self)
-        resource._trigger_waiters()
+        try:
+            resource.users.remove(self)
+        except ValueError:
+            # Never granted (interrupted while queued) or already released.
+            resource._cancel(self)
+        if resource._waiters:
+            resource._trigger_waiters()
 
     def cancel(self) -> None:
         """Withdraw a request that has not been granted yet."""
@@ -105,6 +132,8 @@ class Resource:
         self._capacity = int(capacity)
         self.users: list[Request] = []
         self.queue: deque[Request] = deque()
+        #: The waiting line a release must serve (``queue`` here).
+        self._waiters: Any = self.queue
 
     @property
     def capacity(self) -> int:
@@ -119,25 +148,12 @@ class Resource:
         return Request(self)
 
     def release(self, request: Request) -> Release:
-        self._do_release(request)
-        self._trigger_waiters()
+        request.__exit__(None, None, None)
         return Release(self, request)
 
     # -- internals ----------------------------------------------------------
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self.queue.append(request)
-
-    def _do_release(self, request: Request) -> None:
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Request was still queued (released before being granted) or
-            # already released; canceling a queued request is fine.
-            self._cancel(request)
+    def _enqueue(self, request: Request) -> None:
+        self.queue.append(request)
 
     def _cancel(self, request: Request) -> None:
         try:
@@ -163,29 +179,27 @@ class PriorityResource(Resource):
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
         super().__init__(env, capacity)
-        self._pqueue: list[tuple[tuple, int, PriorityRequest]] = []
+        #: Waiting heap of ``(key, arrival order, request)``.
+        self._waiters: list[tuple[tuple, int, PriorityRequest]] = []
         self._order = 0
 
     def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
         return PriorityRequest(self, priority)
 
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self._capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            assert isinstance(request, PriorityRequest)
-            order = self._order
-            self._order = order + 1
-            heapq.heappush(self._pqueue, (request.key, order, request))
+    def _enqueue(self, request: Request) -> None:
+        assert isinstance(request, PriorityRequest)
+        order = self._order
+        self._order = order + 1
+        heapq.heappush(self._waiters, (request.key, order, request))
 
     def _cancel(self, request: Request) -> None:
-        self._pqueue = [entry for entry in self._pqueue if entry[2] is not request]
-        heapq.heapify(self._pqueue)
+        self._waiters = [entry for entry in self._waiters
+                         if entry[2] is not request]
+        heapq.heapify(self._waiters)
 
     def _trigger_waiters(self) -> None:
-        while self._pqueue and len(self.users) < self._capacity:
-            _key, _n, nxt = heapq.heappop(self._pqueue)
+        while self._waiters and len(self.users) < self._capacity:
+            _key, _n, nxt = heapq.heappop(self._waiters)
             if nxt.triggered:
                 continue
             self.users.append(nxt)

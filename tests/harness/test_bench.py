@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -267,6 +271,19 @@ def test_cli_bench_unknown_bench_is_a_usage_error(tmp_path, capsys):
     code = main(["bench", "--bench", "bogus", "--dir", str(tmp_path)])
     assert code == 2
     assert "unknown bench" in capsys.readouterr().err
+
+
+def test_profile_point_excludes_first_run_imports():
+    # A fresh interpreter, so numpy's lazy submodule imports are still
+    # pending when profile_point starts.
+    code = ("from repro.harness.bench import profile_point; "
+            "print(profile_point(top=100000))")
+    src = str(Path(benchmod.__file__).resolve().parents[2])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert "run_single" in out
+    assert "importlib._bootstrap" not in out
 
 
 def test_cli_bench_profile_prints_hotspots(tmp_path, capsys):

@@ -8,14 +8,25 @@ Covers the invariants the fast-kernel overhaul must preserve:
   everything that may legitimately re-inspect a timeout (conditions,
   ``run(until=...)``, value-carrying timeouts) is pinned out of it,
 * ``Event.trigger`` validates both endpoints of the chain,
-* the single-callback slot upgrades to a list transparently.
+* the single-callback slot upgrades to a list transparently,
+* a request for an idle resource unit is granted in place (no event id, no
+  lane entry), while a request that queues is still granted by a scheduled
+  event.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simkit import AllOf, AnyOf, Environment, SchedulingError
+from repro.simkit import (
+    AllOf,
+    AnyOf,
+    Environment,
+    Interrupt,
+    PriorityResource,
+    Resource,
+    SchedulingError,
+)
 from repro.simkit.core import Event, Timeout, _TIMEOUT_FREELIST_MAX
 
 
@@ -311,3 +322,157 @@ def test_multiple_waiters_on_one_event_all_resume():
     env.process(opener(env, gate))
     env.run()
     assert resumed == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# In-place grants of idle resource units
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("resource_cls", [Resource, PriorityResource])
+def test_idle_request_is_processed_without_an_event(resource_cls):
+    env = Environment()
+    res = resource_cls(env, capacity=2)
+    before = env._eid
+    first = res.request()
+    second = res.request()
+    for req in (first, second):
+        assert req.processed and req.ok and req.value is None
+    assert env._eid == before
+    assert not env._lane_normal and not env._lane_urgent and not env._queue
+    assert res.users == [first, second]
+
+
+def test_full_resource_queues_fifo_and_grants_by_a_scheduled_event():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    with res.request() as held:
+        assert held.processed
+        first = res.request()
+        second = res.request()
+        assert not first.triggered and not second.triggered
+        assert list(res.queue) == [first, second]
+        before = env._eid
+    # Leaving the block hands the unit to the head of the queue through
+    # succeed(): one event id, one lane entry, processed by the kernel.
+    assert first.triggered and not first.processed
+    assert env._eid == before + 1
+    assert list(env._lane_normal) == [(before, first)]
+    assert res.users == [first] and list(res.queue) == [second]
+    env.run()
+    assert first.processed and not second.triggered
+
+
+def test_leaving_the_block_wakes_the_next_waiter_at_the_same_instant():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    granted = []
+
+    def user(env, tag, arrive, hold):
+        yield env.timeout(arrive)
+        with res.request() as req:
+            if not req.triggered:
+                yield req
+            granted.append((tag, env.now))
+            yield env.timeout(hold)
+
+    def legacy_user(env, tag):
+        # Yielding an already-granted request still continues at once.
+        with res.request() as req:
+            yield req
+            granted.append((tag, env.now))
+
+    env.process(user(env, "a", 0.0, 2.0))
+    env.process(user(env, "b", 1.0, 1.0))
+    env.process(user(env, "c", 1.5, 0.5))
+    env.run()
+    env.process(legacy_user(env, "d"))
+    env.run()
+    assert granted == [("a", 0.0), ("b", 2.0), ("c", 3.0), ("d", 3.5)]
+    assert res.count == 0 and not res.queue
+
+
+def test_release_and_cancel_still_work():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    held = res.request()
+    withdrawn = res.request()
+    waiting = res.request()
+    withdrawn.cancel()
+    assert list(res.queue) == [waiting]
+    confirmation = res.release(held)
+    assert res.users == [waiting] and not res.queue
+    assert waiting.triggered
+    env.run()
+    assert confirmation.processed and waiting.processed
+    assert not withdrawn.triggered
+    # Releasing a request that is still queued withdraws it.
+    queued = res.request()
+    res.release(queued)
+    assert not res.queue and res.users == [waiting]
+
+
+def test_anyof_over_an_idle_request_fires_at_the_current_instant():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    fired = []
+
+    def proc(env):
+        yield env.timeout(1.0)
+        req = res.request()
+        result = yield AnyOf(env, [req, env.timeout(5.0)])
+        fired.append((env.now, req in result))
+        res.release(req)
+
+    env.process(proc(env))
+    env.run()
+    assert fired == [(1.0, True)]
+
+
+def test_exception_or_interrupt_inside_the_block_releases_the_unit():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    seen = []
+
+    def crasher(env):
+        with res.request() as req:
+            if not req.triggered:
+                yield req
+            yield env.timeout(1.0)
+            raise ValueError("boom")
+
+    def parent(env):
+        try:
+            yield env.process(crasher(env))
+        except ValueError:
+            seen.append(("crashed", env.now, res.count))
+
+    env.process(parent(env))
+    env.run()
+
+    def victim(env):
+        held = None
+        try:
+            with res.request() as held:
+                if not held.triggered:
+                    yield held
+                yield env.timeout(10.0)
+        except Interrupt:
+            seen.append(("interrupted", env.now, held in res.users))
+
+    def next_user(env):
+        yield env.timeout(0.5)
+        with res.request() as req:
+            assert not req.triggered
+            yield req
+            seen.append(("granted", env.now, req in res.users))
+
+    def interrupter(env, proc):
+        yield env.timeout(1.0)
+        proc.interrupt()
+
+    env.process(interrupter(env, env.process(victim(env))))
+    env.process(next_user(env))
+    env.run()
+    assert seen == [("crashed", 1.0, 0), ("interrupted", 2.0, False),
+                    ("granted", 2.0, True)]
+    assert res.count == 0
