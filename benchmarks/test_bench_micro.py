@@ -125,7 +125,8 @@ def test_bench_scenario_runner_serial(benchmark):
 
 def test_bench_scenario_runner_process_pool(benchmark):
     """The same 4 points fanned out over a 2-worker process pool."""
-    from repro.harness import ProcessPoolBackend, ScenarioSet, run_scenarios
+    from repro.harness import (ProcessPoolBackend, ScenarioSet, Session,
+                               run_scenarios)
 
     def run():
         base = ExperimentConfig(
@@ -134,7 +135,8 @@ def test_bench_scenario_runner_process_pool(benchmark):
             testbed=TestbedConfig(producer_nodes=4, consumer_nodes=4))
         scenarios = ScenarioSet.grid(base, architectures=["DTS", "MSS"],
                                      consumer_counts=[1, 2])
-        return run_scenarios(scenarios, backend=ProcessPoolBackend(2, chunksize=1))
+        return run_scenarios(scenarios, session=Session(
+            backend=ProcessPoolBackend(2, chunksize=1)))
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     assert len(outcomes) == 4

@@ -171,7 +171,7 @@ def _is_stub_body(body: list[ast.stmt]) -> bool:
 
 def _looks_like_backend_run(method: ast.FunctionDef) -> bool:
     """The ExecutionBackend protocol shape: run(self, points, ...,
-    policy=...).  Sweep-level run() methods (session/kwargs bundles, no
+    policy=...).  Sweep-level run() methods (``session=`` only, no
     ``points`` parameter) are not backends and are exempt."""
     arg_names = {arg.arg for arg in (method.args.args
                                      + method.args.kwonlyargs)}

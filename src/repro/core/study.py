@@ -11,12 +11,10 @@ feasibility comparison of §2/§6 from actually-deployed architectures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..architectures import DeploymentReport, TestbedConfig
 from ..harness import (
-    ExecutionBackend,
-    ExecutionPolicy,
     ExperimentConfig,
     ExperimentResult,
     PointFailure,
@@ -25,9 +23,6 @@ from ..harness import (
     run_scenarios,
 )
 from ..metrics import OverheadResult, overhead_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..harness import ResultCache
 
 __all__ = ["ComparisonResult", "compare_architectures", "deployment_comparison",
            "PAPER_ARCHITECTURES", "BASELINE_ARCHITECTURE"]
@@ -126,10 +121,6 @@ def compare_architectures(*, workload: str = "Dstream",
                           testbed: Optional[TestbedConfig] = None,
                           axes: Optional[dict] = None,
                           session: Optional[Session] = None,
-                          jobs: Optional[int] = None,
-                          backend: Optional[ExecutionBackend] = None,
-                          cache: Optional["ResultCache"] = None,
-                          policy: Optional[ExecutionPolicy] = None,
                           **config_overrides) -> ComparisonResult:
     """Run the same scenario through several architectures and compare.
 
@@ -139,10 +130,7 @@ def compare_architectures(*, workload: str = "Dstream",
     architectures concurrently through the unified scenario runner with
     results identical to serial execution, and under a session policy with
     ``on_error="record"`` a crashed architecture lands in
-    ``ComparisonResult.failures`` instead of aborting the comparison.  The
-    ``jobs``/``backend``/``cache``/``policy`` keywords are the deprecated
-    pre-session bundle (they build a session internally and warn once per
-    process).
+    ``ComparisonResult.failures`` instead of aborting the comparison.
 
     ``axes`` forwards extra sweep axes to
     :meth:`~repro.harness.ScenarioSet.product` (dotted config paths such as
@@ -151,9 +139,6 @@ def compare_architectures(*, workload: str = "Dstream",
     the same coordinate*; results land in ``ComparisonResult.grid`` and
     :meth:`ComparisonResult.rows` gains one column per axis.
     """
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="compare_architectures")
     if pattern in ("broadcast", "broadcast_gather"):
         producer_count = 1
     else:
@@ -205,10 +190,7 @@ def compare_architectures(*, workload: str = "Dstream",
 
 def deployment_comparison(architectures: Iterable[str] = PAPER_ARCHITECTURES, *,
                           testbed_config: Optional[TestbedConfig] = None,
-                          session: Optional[Session] = None,
-                          jobs: Optional[int] = None,
-                          backend: Optional[ExecutionBackend] = None,
-                          policy: Optional[ExecutionPolicy] = None
+                          session: Optional[Session] = None
                           ) -> dict[str, DeploymentReport]:
     """Deploy each architecture (control plane only) and report feasibility.
 
@@ -219,11 +201,8 @@ def deployment_comparison(architectures: Iterable[str] = PAPER_ARCHITECTURES, *,
     ``session`` carries the execution context (deployment points are never
     cached, so a session cache is simply unused here); under a non-raising
     session policy a crashed deployment is simply absent from the returned
-    mapping.  ``jobs``/``backend``/``policy`` are the deprecated
-    pre-session bundle.
+    mapping.
     """
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              policy=policy, where="deployment_comparison")
     config = testbed_config or TestbedConfig(producer_nodes=2, consumer_nodes=2)
     base = ExperimentConfig(testbed=config, seed=config.seed)
     scenarios = ScenarioSet.deployments(list(architectures), base)

@@ -8,8 +8,7 @@ unified scenario runner in :mod:`repro.harness.runner`.  Execution context
 :class:`~repro.harness.session.Session` object: build it once (directly,
 from ``REPRO_*`` environment variables via :meth:`Session.from_env`, or
 from CLI args via :meth:`Session.from_args`) and pass ``session=`` to any
-entry point; the historical ``jobs/backend/cache/policy`` keyword bundle
-still works as a deprecated shim.
+entry point.
 """
 
 from .bench import (
@@ -59,7 +58,6 @@ from .runner import (
     backend_names,
     create_backend,
     register_backend,
-    resolve_backend,
     run_scenarios,
     unregister_backend,
 )
@@ -104,7 +102,6 @@ __all__ = [
     "unregister_backend",
     "backend_names",
     "create_backend",
-    "resolve_backend",
     "run_scenarios",
     "Session",
     "ENV_PREFIX",

@@ -16,7 +16,7 @@ module is the single place where that grid is executed:
   streams from the config, so parallel execution is bit-identical to serial
   for the same seeds; outcomes are always returned in submission order.
   Backends are addressable by *name* through a registry
-  (:func:`register_backend` / :func:`resolve_backend`), which is how future
+  (:func:`register_backend` / :func:`create_backend`), which is how future
   distributed backends (``"ssh"``, ``"slurm"``) plug in without growing any
   call signature — they must honor the same :class:`ExecutionPolicy`
   contract in their workers.
@@ -25,9 +25,7 @@ module is the single place where that grid is executed:
   :func:`~repro.core.study.compare_architectures`,
   :func:`~repro.core.study.deployment_comparison`, the figure generators and
   the CLI.  Execution context (backend, cache, policy, progress) is carried
-  by a :class:`~repro.harness.session.Session`; the historical
-  ``jobs/backend/cache/policy`` keyword bundle still works as a deprecated
-  shim that builds a session internally.
+  by a :class:`~repro.harness.session.Session`.
 
 Results can be cached to disk (:class:`~repro.harness.cache.ResultCache`) and
 reused by figure regeneration: run under a ``Session(cache=...)`` and
@@ -56,7 +54,6 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Union,
     runtime_checkable,
 )
 
@@ -67,7 +64,6 @@ from .config import ExperimentConfig
 from .results import ExperimentResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .cache import ResultCache
     from .session import Session
 
 __all__ = [
@@ -87,7 +83,6 @@ __all__ = [
     "unregister_backend",
     "backend_names",
     "create_backend",
-    "resolve_backend",
     "run_scenarios",
 ]
 
@@ -757,8 +752,7 @@ _BACKEND_REGISTRY: dict[str, BackendFactory] = {}
 def register_backend(name: str, factory: BackendFactory, *,
                      overwrite: bool = False) -> None:
     """Register a backend factory under a name usable everywhere a backend
-    is accepted (``Session(backend="process")``, ``--backend process``,
-    :func:`resolve_backend`).
+    is accepted (``Session(backend="process")``, ``--backend process``).
 
     ``factory`` is called as ``factory(jobs=N_or_None)`` and must return an
     object satisfying the :class:`ExecutionBackend` protocol *and* the
@@ -809,38 +803,21 @@ register_backend("process", lambda jobs=None: ProcessPoolBackend(jobs))
 register_backend("thread", lambda jobs=None: ThreadPoolBackend(jobs))
 
 
-def resolve_backend(backend: Union[ExecutionBackend, str, None] = None,
-                    jobs: Optional[int] = None) -> ExecutionBackend:
-    """Pick a backend: an explicit instance wins, a registry name is built
-    with ``jobs``, then ``jobs > 1`` => process pool, else serial."""
-    if isinstance(backend, str):
-        return create_backend(backend, jobs=jobs)
-    if backend is not None:
-        return backend
-    if jobs is not None and jobs > 1:
-        return ProcessPoolBackend(jobs)
-    return SerialBackend()
-
-
 # ---------------------------------------------------------------------------
 # The one entry point
 # ---------------------------------------------------------------------------
 
 def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
                   session: Optional["Session"] = None,
-                  backend: Union[ExecutionBackend, str, None] = None,
-                  jobs: Optional[int] = None,
-                  progress: Optional[Callable[[ScenarioPoint], None]] = None,
-                  cache: Optional["ResultCache"] = None,
-                  policy: Optional[ExecutionPolicy] = None
+                  progress: Optional[Callable[[ScenarioPoint], None]] = None
                   ) -> list[PointOutcome]:
     """Execute scenario points and return outcomes in submission order.
 
     ``session`` (a :class:`~repro.harness.session.Session`) carries the
     whole execution context — backend, result cache, execution policy and a
-    default progress callback.  The legacy ``backend``/``jobs``/``cache``/
-    ``policy`` keywords are a deprecation shim: they build a session
-    internally and warn once per process; passing both styles is an error.
+    default progress callback.  ``None`` means the default ``Session()``:
+    serial, uncached, fail-fast.  A closed session raises
+    :class:`RuntimeError`.
 
     The session's cache short-circuits points whose results are already on
     disk and records fresh ones; only "experiment" points are cacheable.
@@ -855,10 +832,12 @@ def run_scenarios(scenarios: Iterable[ScenarioPoint], *,
     survivors in submission order; ``"record"`` returns them as failed
     :class:`PointOutcome` objects (``result=None``, ``error`` set).
     """
-    from .session import Session
-    session = Session.resolve(session, backend=backend, jobs=jobs,
-                              cache=cache, policy=policy,
-                              where="run_scenarios")
+    if session is None:
+        from .session import Session
+        session = Session()
+    elif session.closed:
+        raise RuntimeError("session is closed; build a new Session "
+                           "(or run before leaving the with block)")
     backend = session.backend
     cache = session.cache
     policy = session.policy

@@ -1,9 +1,7 @@
 """Execution sessions: one context object for every sweep's knobs.
 
-PRs 1–3 grew the execution engine three knobs at a time — ``jobs=``,
-``backend=``, ``cache=``, ``policy=`` — threaded as a keyword bundle
-through every public entry point.  A :class:`Session` replaces that bundle
-with a single object holding the resolved backend, the result cache, the
+A :class:`Session` is the only execution argument of every public entry
+point: one object holding the resolved backend, the result cache, the
 execution policy and a default progress callback::
 
     from repro.harness import Session
@@ -37,10 +35,8 @@ Environment variable   Session field
 ``REPRO_ON_ERROR``     ``policy.on_error`` (raise|skip|record)
 =====================  ====================================================
 
-The legacy keyword bundle still works everywhere it used to: entry points
-coerce it through :meth:`Session.resolve`, which builds an equivalent
-session and emits one :class:`DeprecationWarning` per process.  A session
-is picklable where needed (no live pool is held between runs); a
+Entry points take ``session=None`` to mean the default ``Session()``.  A
+session is picklable where needed (no live pool is held between runs); a
 ``progress`` callback travels only if it is itself picklable.
 """
 
@@ -57,43 +53,20 @@ from .runner import (
     ExecutionBackend,
     ExecutionPolicy,
     PointOutcome,
+    ProcessPoolBackend,
     ScenarioPoint,
     SerialBackend,
-    resolve_backend,
+    create_backend,
     run_scenarios,
 )
 
-__all__ = ["Session", "ENV_PREFIX", "reset_legacy_warning"]
+__all__ = ["Session", "ENV_PREFIX"]
 
 #: Prefix of the environment variables read by :meth:`Session.from_env`.
 ENV_PREFIX = "REPRO_"
 
 #: Accepted truthy spellings for boolean environment variables.
 _TRUTHY = ("1", "true", "yes", "on")
-
-#: Names of the deprecated per-call keywords the session replaces.
-LEGACY_KWARGS = ("jobs", "backend", "cache", "policy")
-
-_legacy_warned = False
-
-
-def _warn_legacy(where: str) -> None:
-    """Deprecation warning for the pre-session kwarg bundle, once/process."""
-    global _legacy_warned
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        f"passing jobs=/backend=/cache=/policy= to {where}() is deprecated; "
-        f"build a repro.harness.Session and pass session= instead "
-        f"(warned once per process)",
-        DeprecationWarning, stacklevel=4)
-
-
-def reset_legacy_warning() -> None:
-    """Re-arm the once-per-process legacy-kwarg warning (test hook)."""
-    global _legacy_warned
-    _legacy_warned = False
 
 
 class Session:
@@ -105,10 +78,10 @@ class Session:
         A registry name (``"serial"``, ``"process"``, ``"thread"``, or any
         name added via :func:`~repro.harness.runner.register_backend`), an
         :class:`~repro.harness.runner.ExecutionBackend` instance, or
-        ``None`` to pick serial/process from ``jobs``.
+        ``None`` to pick from ``jobs``: ``jobs > 1`` selects the process
+        pool, anything else the serial backend.
     jobs:
-        Worker count handed to the backend factory (``>= 1``); with no
-        explicit backend, ``jobs > 1`` selects the process pool.
+        Worker count handed to the backend factory (``>= 1``).
     cache:
         A sharded :class:`~repro.harness.cache.ResultCache`, or a path that
         one is opened at (honoring ``allow_stale``), or ``None``.
@@ -141,7 +114,13 @@ class Session:
         #: The registry name the backend was built from (None for explicit
         #: instances) — kept for reporting and repr, not dispatch.
         self.backend_name = backend if isinstance(backend, str) else None
-        self.backend = resolve_backend(backend, jobs)
+        if isinstance(backend, str):
+            backend = create_backend(backend, jobs=jobs)
+        elif backend is None and jobs is not None and jobs > 1:
+            backend = ProcessPoolBackend(jobs)
+        elif backend is None:
+            backend = SerialBackend()
+        self.backend = backend
         if jobs is not None and jobs > 1 and isinstance(self.backend,
                                                         SerialBackend):
             # e.g. REPRO_BACKEND=serial colliding with REPRO_JOBS=8: the
@@ -256,49 +235,12 @@ class Session:
             settings["on_error"] = on_error
         return cls._from_settings(settings)
 
-    @classmethod
-    def resolve(cls, session: Optional["Session"], *,
-                backend: Union[ExecutionBackend, str, None] = None,
-                jobs: Optional[int] = None,
-                cache: Union["ResultCache", str, os.PathLike, None] = None,
-                policy: Optional[ExecutionPolicy] = None,
-                where: str = "run_scenarios") -> "Session":
-        """Coerce (session, legacy kwargs) into one session — the shim
-        behind every entry point that still accepts the old bundle.
-
-        * ``session`` alone: returned unchanged.
-        * legacy kwargs alone: an equivalent session, plus one
-          :class:`DeprecationWarning` per process.
-        * both: :class:`TypeError` — mixing the styles would make it
-          ambiguous which context wins.
-        * neither: the default session (serial, uncached, fail-fast).
-        """
-        supplied = [name for name, value
-                    in zip(LEGACY_KWARGS, (jobs, backend, cache, policy))
-                    if value is not None]
-        if session is not None:
-            if supplied:
-                raise TypeError(
-                    f"{where}() got both session= and the legacy "
-                    f"{'/'.join(supplied)} keyword(s); pass session= only")
-            if session.closed:
-                raise RuntimeError(
-                    f"{where}() got a closed session; build a new Session "
-                    f"(or run before leaving the with block)")
-            return session
-        if supplied:
-            _warn_legacy(where)
-        return cls(backend=backend, jobs=jobs, cache=cache, policy=policy)
-
     # -- execution -----------------------------------------------------------
     def run(self, scenarios: Iterable[ScenarioPoint], *,
             progress: Optional[Callable[[ScenarioPoint], None]] = None
             ) -> list[PointOutcome]:
         """Execute scenario points under this session (see
         :func:`~repro.harness.runner.run_scenarios`)."""
-        if self.closed:
-            raise RuntimeError("session is closed; build a new Session "
-                               "(or run before leaving the with block)")
         return run_scenarios(scenarios, session=self, progress=progress)
 
     # -- lifecycle -----------------------------------------------------------

@@ -55,7 +55,7 @@ class Request(Event):
         # released automatically
     """
 
-    __slots__ = ("resource", "proc")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         # One request per simulated hop, so the base initializer is inlined
@@ -65,7 +65,6 @@ class Request(Event):
         self._callbacks = None
         self._defused = False
         self.resource = resource
-        self.proc = env._active_proc
         users = resource.users
         if len(users) < resource._capacity:
             users.append(self)
@@ -304,12 +303,6 @@ class StoreGet(Event):
         self.filter = filter
         store._get_waiters.append(self)
         store._dispatch()
-
-    def cancel(self) -> None:
-        """Withdraw the get request if it has not been satisfied yet."""
-        # Dispatch skips triggered events, so marking is enough; but remove
-        # eagerly to keep waiter lists short.
-        pass
 
 
 class Store:

@@ -17,6 +17,7 @@ from repro.harness import (
     ScenarioPoint,
     ScenarioSet,
     SerialBackend,
+    Session,
     code_fingerprint,
     run_scenarios,
 )
@@ -75,7 +76,7 @@ def test_corrupt_cache_is_quarantined_not_fatal(tmp_path, content):
     assert open(quarantined[0]).read() == content
     # ...and the cache is fully usable: points recompute and persist.
     [outcome] = run_scenarios([ScenarioPoint(config=tiny_config())],
-                              cache=cache)
+                              session=Session(cache=cache))
     assert not outcome.cached
     assert ResultCache(str(path)).load(
         ScenarioPoint(config=tiny_config())) is not None
@@ -138,14 +139,14 @@ def _tamper_fingerprint(path: str) -> None:
 def test_stale_fingerprint_invalidates_entry(tmp_path):
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    run_scenarios([point], cache=ResultCache(path))
+    run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     _tamper_fingerprint(path)
     cache = ResultCache(path)
     assert point not in cache
     assert cache.load(point) is None
     assert cache.stale_evicted == 1
-    [outcome] = run_scenarios([point], cache=cache)
+    [outcome] = run_scenarios([point], session=Session(cache=cache))
     assert not outcome.cached  # recomputed, not served stale
     # The recomputed entry carries the current fingerprint again.
     entries = _cache_entries(path)
@@ -155,12 +156,12 @@ def test_stale_fingerprint_invalidates_entry(tmp_path):
 def test_allow_stale_serves_old_entries(tmp_path):
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    [fresh] = run_scenarios([point], cache=ResultCache(path))
+    [fresh] = run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     _tamper_fingerprint(path)
     cache = ResultCache(path, allow_stale=True)
     assert point in cache
-    [served] = run_scenarios([point], cache=cache)
+    [served] = run_scenarios([point], session=Session(cache=cache))
     assert served.cached
     assert (json.dumps(served.result.to_json_dict(), sort_keys=True)
             == json.dumps(fresh.result.to_json_dict(), sort_keys=True))
@@ -170,7 +171,7 @@ def test_pre_fingerprint_entries_are_treated_as_stale(tmp_path):
     # PR-1-era caches have no "fingerprint" field at all.
     path = str(tmp_path / "cache.json")
     point = ScenarioPoint(config=tiny_config())
-    run_scenarios([point], cache=ResultCache(path))
+    run_scenarios([point], session=Session(cache=ResultCache(path)))
 
     def drop(entry):
         del entry["fingerprint"]
@@ -199,7 +200,8 @@ def test_mid_kill_leaves_completed_points_on_disk(tmp_path, monkeypatch):
     # autosave_min_s=0: persist after every point so the test is exact
     # (the default throttles full-file rewrites to about one per second).
     with pytest.raises(KeyboardInterrupt):
-        run_scenarios(points, cache=ResultCache(path, autosave_min_s=0.0))
+        run_scenarios(points, session=Session(
+            cache=ResultCache(path, autosave_min_s=0.0)))
 
     # run_scenarios never reached its final save; the streaming autosave did.
     survivors = ResultCache(path)
@@ -213,7 +215,8 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
     """The acceptance scenario: kill a ProcessPoolBackend sweep midway,
     re-run with the cache, and the figure comes out bit-identical to a
     clean serial run while only the missing points execute."""
-    clean = figure4(**figure_kwargs(), backend=SerialBackend())
+    clean = figure4(**figure_kwargs(),
+                    session=Session(backend=SerialBackend()))
 
     path = str(tmp_path / "cache.json")
     # The exact point grid figure4 builds internally (cache keys are content
@@ -234,8 +237,9 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
         interrupted["completed"] += 1
 
     with pytest.raises(KeyboardInterrupt):
-        run_scenarios(scenarios, cache=ResultCache(path, autosave_min_s=0.0),
-                      backend=ProcessPoolBackend(2, start_method="fork"),
+        run_scenarios(scenarios, session=Session(
+                          backend=ProcessPoolBackend(2, start_method="fork"),
+                          cache=ResultCache(path, autosave_min_s=0.0)),
                       progress=interrupt_after_two)
 
     on_disk = ResultCache(path)
@@ -253,8 +257,9 @@ def test_interrupted_pool_sweep_resumes_from_partial_cache(tmp_path,
 
     monkeypatch.setattr(runner_module, "execute_point", marking_execute)
     resumed = figure4(**figure_kwargs(),
-                      backend=ProcessPoolBackend(2, start_method="fork"),
-                      cache=ResultCache(path))
+                      session=Session(
+                          backend=ProcessPoolBackend(2, start_method="fork"),
+                          cache=ResultCache(path)))
 
     executed = {os.path.basename(p) for p in glob.glob(str(marker_dir / "*"))}
     cached_keys = {point.cache_key() for point in scenarios
@@ -269,15 +274,16 @@ def test_incremental_figure_equals_from_scratch_figure(tmp_path):
     path = str(tmp_path / "cache.json")
     kwargs = figure_kwargs()
     from_scratch = figure4(**kwargs)
-    primed = figure4(**kwargs, cache=ResultCache(path))
+    primed = figure4(**kwargs, session=Session(cache=ResultCache(path)))
     assert rows_payload(primed.rows) == rows_payload(from_scratch.rows)
 
     # Second regeneration: everything is served from the cache.
-    again = figure4(**kwargs, cache=ResultCache(path))
+    again = figure4(**kwargs, session=Session(cache=ResultCache(path)))
     assert rows_payload(again.rows) == rows_payload(from_scratch.rows)
 
     # A wider regeneration reuses the cached subset and only adds points.
     wider_kwargs = dict(kwargs, consumer_counts=(1, 2, 4))
-    wider_cached = figure4(**wider_kwargs, cache=ResultCache(path))
+    wider_cached = figure4(**wider_kwargs,
+                           session=Session(cache=ResultCache(path)))
     wider_clean = figure4(**wider_kwargs)
     assert rows_payload(wider_cached.rows) == rows_payload(wider_clean.rows)

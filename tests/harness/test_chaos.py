@@ -31,6 +31,7 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
     ThreadPoolBackend,
     run_scenarios,
 )
@@ -181,8 +182,9 @@ def _chaos_scenarios():
 ], ids=["process", "thread"])
 def test_chaos_sweep_byte_identical_across_backends(parallel_backend):
     scenarios = _chaos_scenarios()
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend=SerialBackend()))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
     assert ([o.point.cache_key() for o in serial]
             == [o.point.cache_key() for o in parallel])
@@ -192,7 +194,8 @@ def test_product_accepts_fault_axes_on_faults_none_base():
     """Sweeping faults.* from a fault-free base auto-attaches a plan."""
     scenarios = ScenarioSet.product(
         tiny_config(), {"faults.broker_kill_rate": [0.0, 1.0]})
-    outcomes = run_scenarios(scenarios, backend=SerialBackend())
+    outcomes = run_scenarios(scenarios,
+                             session=Session(backend=SerialBackend()))
     assert len(outcomes) == 2
     assert [o.point.config.faults.broker_kill_rate for o in outcomes] == \
         [0.0, 1.0]
@@ -220,7 +223,7 @@ def test_failure_rows_carry_fault_and_population_coordinates(monkeypatch):
     base = tiny_config(faults=FaultPlan(), population=3)
     sweep = sensitivity_sweep(
         base, {"faults.broker_kill_rate": [0.0, 1.0]},
-        policy=ExecutionPolicy(on_error="record"))
+        session=Session(policy=ExecutionPolicy(on_error="record")))
     assert len(sweep.failures) == 1
     row = sweep.failures[0].as_row()
     assert row["faults.broker_kill_rate"] == 1.0

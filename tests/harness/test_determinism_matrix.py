@@ -20,6 +20,7 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
     ThreadPoolBackend,
     run_scenarios,
 )
@@ -98,7 +99,8 @@ def _payloads(outcomes) -> list[str]:
 #: it certifies queued grants and failover under the in-place idle grant.
 #: Regenerate only for a deliberate semantic change:
 #:
-#:     payloads = _payloads(run_scenarios(scenarios, backend=SerialBackend()))
+#:     payloads = _payloads(run_scenarios(
+#:         scenarios, session=Session(backend=SerialBackend())))
 #:     hashlib.sha256("\n".join(payloads).encode()).hexdigest()
 GOLDEN_DIGESTS = {
     "grid":
@@ -121,8 +123,9 @@ GOLDEN_DIGESTS = {
 def test_parallel_payloads_byte_identical_to_serial(constructor,
                                                     parallel_backend):
     scenarios = _scenario_sets()[constructor]
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend=SerialBackend()))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
     # Ordering survives the pool's out-of-order completion too.
     assert ([o.point.cache_key() for o in serial]
@@ -135,6 +138,7 @@ def test_fast_kernel_payloads_match_pre_optimization_golden(constructor):
     """The optimized kernel reproduces the pre-optimization results
     byte-for-byte (see GOLDEN_DIGESTS for the recording recipe)."""
     scenarios = _scenario_sets()[constructor]
-    payloads = _payloads(run_scenarios(scenarios, backend=SerialBackend()))
+    payloads = _payloads(run_scenarios(
+        scenarios, session=Session(backend=SerialBackend())))
     digest = hashlib.sha256("\n".join(payloads).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[constructor]

@@ -16,6 +16,7 @@ from repro.harness import (
     ScenarioPoint,
     ScenarioSet,
     SerialBackend,
+    Session,
     run_scenarios,
 )
 from repro.harness import runner as runner_module
@@ -83,7 +84,7 @@ def test_timed_out_point_becomes_structured_failure(monkeypatch):
     ]
     policy = ExecutionPolicy(timeout_s=0.2, on_error="record")
     start = time.monotonic()
-    outcomes = run_scenarios(points, policy=policy)
+    outcomes = run_scenarios(points, session=Session(policy=policy))
     assert time.monotonic() - start < 10
     assert outcomes[0].ok
     assert not outcomes[1].ok
@@ -103,7 +104,7 @@ def test_timeout_is_retried_before_failing(monkeypatch):
     monkeypatch.setattr(runner_module, "execute_point", hang_on_marker)
     point = ScenarioPoint(config=tiny_config(), axes={"hang": True})
     policy = ExecutionPolicy(timeout_s=0.1, retries=1, on_error="record")
-    [outcome] = run_scenarios([point], policy=policy)
+    [outcome] = run_scenarios([point], session=Session(policy=policy))
     assert not outcome.ok
     assert outcome.attempts == 2
 
@@ -122,7 +123,7 @@ def test_timeout_does_not_leak_into_later_points(monkeypatch):
         ScenarioPoint(config=tiny_config(seed=2), axes={}),
     ]
     policy = ExecutionPolicy(timeout_s=0.2, on_error="skip")
-    outcomes = run_scenarios(points, policy=policy)
+    outcomes = run_scenarios(points, session=Session(policy=policy))
     # The slow point is gone; the healthy one ran to completion untouched
     # by the previous point's alarm.
     assert [o.point.config.seed for o in outcomes] == [2]
@@ -148,8 +149,8 @@ def test_fail_then_succeed_retry_matches_first_try_result(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(runner_module, "execute_point", flaky)
-    [retried] = run_scenarios([point],
-                              policy=ExecutionPolicy(retries=2))
+    [retried] = run_scenarios(
+        [point], session=Session(policy=ExecutionPolicy(retries=2)))
     assert calls["count"] == 2
     assert retried.attempts == 2
     # The retry re-derives every random stream from the point's config, so
@@ -164,7 +165,7 @@ def test_exhausted_retries_raise_with_attempt_count(monkeypatch):
     monkeypatch.setattr(runner_module, "execute_point", always_fails)
     with pytest.raises(ScenarioError, match="after 3 attempts"):
         run_scenarios([ScenarioPoint(config=tiny_config())],
-                      policy=ExecutionPolicy(retries=2))
+                      session=Session(policy=ExecutionPolicy(retries=2)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +188,8 @@ def test_on_error_skip_keeps_submission_order(monkeypatch):
     points = [ScenarioPoint(config=tiny_config(seed=seed),
                             axes={"seed": seed})
               for seed in (1, 2, 3, 4)]
-    outcomes = run_scenarios(points,
-                             policy=ExecutionPolicy(on_error="skip"))
+    outcomes = run_scenarios(
+        points, session=Session(policy=ExecutionPolicy(on_error="skip")))
     assert [o.point.axes["seed"] for o in outcomes] == [1, 3, 4]
     assert all(o.ok for o in outcomes)
 
@@ -198,8 +199,8 @@ def test_on_error_record_reports_failure_in_place(monkeypatch):
     points = [ScenarioPoint(config=tiny_config(seed=seed),
                             axes={"seed": seed})
               for seed in (1, 3, 5)]
-    outcomes = run_scenarios(points,
-                             policy=ExecutionPolicy(on_error="record"))
+    outcomes = run_scenarios(
+        points, session=Session(policy=ExecutionPolicy(on_error="record")))
     assert [o.point.axes["seed"] for o in outcomes] == [1, 3, 5]
     assert [o.ok for o in outcomes] == [True, False, True]
     failed = outcomes[1]
@@ -214,8 +215,10 @@ def test_on_error_record_under_process_pool(monkeypatch):
                             axes={"seed": seed})
               for seed in (1, 2, 3, 4)]
     outcomes = run_scenarios(points,
-                             backend=ProcessPoolBackend(2, start_method="fork"),
-                             policy=ExecutionPolicy(on_error="record"))
+                             session=Session(
+                                 backend=ProcessPoolBackend(
+                                     2, start_method="fork"),
+                                 policy=ExecutionPolicy(on_error="record")))
     assert [o.point.axes["seed"] for o in outcomes] == [1, 2, 3, 4]
     assert [o.ok for o in outcomes] == [True, False, True, True]
     assert "injected crash for seed 2" in outcomes[1].error
@@ -225,7 +228,8 @@ def test_sweep_records_failures_instead_of_dying(monkeypatch):
     _seed_crasher(monkeypatch, bad_seed=1)  # every point in this sweep
     sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
                           consumer_counts=[1, 2])
-    result = sweep.run(policy=ExecutionPolicy(on_error="record"))
+    result = sweep.run(
+        session=Session(policy=ExecutionPolicy(on_error="record")))
     assert result.results["DTS"] == {}
     assert len(result.failures) == 2
     rows = [failure.as_row() for failure in result.failures]
@@ -245,10 +249,13 @@ def test_backends_agree_on_policy_outcomes(monkeypatch):
     scenarios = ScenarioSet.grid(tiny_config(), architectures=["DTS", "MSS"],
                                  seeds=[1, 3])
     policy = ExecutionPolicy(on_error="skip")
-    serial = run_scenarios(scenarios, backend=SerialBackend(), policy=policy)
+    serial = run_scenarios(
+        scenarios, session=Session(backend=SerialBackend(), policy=policy))
     pooled = run_scenarios(scenarios,
-                           backend=ProcessPoolBackend(2, start_method="fork"),
-                           policy=policy)
+                           session=Session(
+                               backend=ProcessPoolBackend(
+                                   2, start_method="fork"),
+                               policy=policy))
     assert ([result_payload(o) for o in serial]
             == [result_payload(o) for o in pooled])
     assert [o.point.config.seed for o in serial] == [1, 1]

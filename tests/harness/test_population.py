@@ -27,6 +27,7 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
     ThreadPoolBackend,
     run_experiment,
     run_scenarios,
@@ -70,11 +71,11 @@ def test_population_axis_at_one_reproduces_axis_free_results():
     base = tiny_config()
     without = run_scenarios(
         ScenarioSet.grid(base, architectures=["DTS", "MSS"], seeds=[1, 2]),
-        backend=SerialBackend())
+        session=Session(backend=SerialBackend()))
     with_axis = run_scenarios(
         ScenarioSet.grid(base, architectures=["DTS", "MSS"],
                          populations=[1], seeds=[1, 2]),
-        backend=SerialBackend())
+        session=Session(backend=SerialBackend()))
     assert _payloads(without) == _payloads(with_axis)
 
 
@@ -164,7 +165,7 @@ POPULATION_GOLDEN = (
 
 def test_population_grid_matches_golden():
     digest = _digest(run_scenarios(_population_scenarios(),
-                                   backend=SerialBackend()))
+                                   session=Session(backend=SerialBackend())))
     assert digest == POPULATION_GOLDEN
 
 
@@ -174,8 +175,9 @@ def test_population_grid_matches_golden():
 ], ids=["process", "thread"])
 def test_population_grid_parallel_byte_identical(parallel_backend):
     scenarios = _population_scenarios()
-    serial = run_scenarios(scenarios, backend=SerialBackend())
-    parallel = run_scenarios(scenarios, backend=parallel_backend())
+    serial = run_scenarios(scenarios, session=Session(backend=SerialBackend()))
+    parallel = run_scenarios(scenarios,
+                             session=Session(backend=parallel_backend()))
     assert _payloads(serial) == _payloads(parallel)
 
 

@@ -18,8 +18,7 @@ from repro.harness import (
     ScenarioError,
     ScenarioPoint,
     ScenarioSet,
-    SerialBackend,
-    resolve_backend,
+    Session,
     run_scenarios,
 )
 from repro.harness.runner import execute_point
@@ -118,19 +117,11 @@ def test_scenario_points_are_picklable():
     assert clone.axes == point.axes
 
 
-def test_resolve_backend_prefers_explicit_then_jobs():
-    serial = SerialBackend()
-    assert resolve_backend(serial, jobs=8) is serial
-    assert isinstance(resolve_backend(None, jobs=4), ProcessPoolBackend)
-    assert isinstance(resolve_backend(None, jobs=1), SerialBackend)
-    assert isinstance(resolve_backend(None, None), SerialBackend)
-
-
 def test_pool_results_bit_identical_to_serial():
     sweep = ConsumerSweep(tiny_config(), architectures=["DTS", "MSS"],
                           consumer_counts=[1, 2])
     serial = sweep.run()
-    pooled = sweep.run(jobs=2)
+    pooled = sweep.run(session=Session(jobs=2))
     assert serial.rows() == pooled.rows()
     assert same_rows(serial.rows("median_rtt_s"), pooled.rows("median_rtt_s"))
 
@@ -138,7 +129,8 @@ def test_pool_results_bit_identical_to_serial():
 def test_pool_preserves_submission_order():
     scenarios = ScenarioSet.grid(tiny_config(), architectures=["DTS", "MSS"],
                                  consumer_counts=[1, 2])
-    outcomes = run_scenarios(scenarios, backend=ProcessPoolBackend(2))
+    outcomes = run_scenarios(
+        scenarios, session=Session(backend=ProcessPoolBackend(2)))
     coords = [(o.point.label, o.point.axes["consumers"]) for o in outcomes]
     assert coords == [("DTS", 1), ("DTS", 2), ("MSS", 1), ("MSS", 2)]
 
@@ -170,7 +162,7 @@ def test_serial_backend_propagates_point_errors():
 def test_pool_backend_propagates_point_errors():
     points = [ScenarioPoint(config=tiny_config()), _crashing_point()]
     with pytest.raises(ScenarioError, match="DTS"):
-        run_scenarios(points, backend=ProcessPoolBackend(2))
+        run_scenarios(points, session=Session(backend=ProcessPoolBackend(2)))
 
 
 def test_execute_point_deployment_returns_report():
@@ -241,12 +233,12 @@ def test_cache_round_trip_and_reuse(tmp_path):
     point = ScenarioPoint(config=tiny_config())
 
     cache = ResultCache(path)
-    [first] = run_scenarios([point], cache=cache)
+    [first] = run_scenarios([point], session=Session(cache=cache))
     assert not first.cached
     assert point in cache
 
     reloaded = ResultCache(path)
-    [second] = run_scenarios([point], cache=reloaded)
+    [second] = run_scenarios([point], session=Session(cache=reloaded))
     assert second.cached
     assert same_rows([second.result.as_row()], [first.result.as_row()])
 
@@ -255,8 +247,8 @@ def test_cached_sweep_matches_fresh_sweep(tmp_path):
     path = str(tmp_path / "sweep.json")
     sweep = ConsumerSweep(tiny_config(), architectures=["DTS"],
                           consumer_counts=[1, 2])
-    fresh = sweep.run(cache=ResultCache(path))
-    cached = sweep.run(cache=ResultCache(path))
+    fresh = sweep.run(session=Session(cache=ResultCache(path)))
+    cached = sweep.run(session=Session(cache=ResultCache(path)))
     assert fresh.rows() == cached.rows()
 
 

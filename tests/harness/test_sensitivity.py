@@ -15,6 +15,7 @@ from repro.harness import (
     ProcessPoolBackend,
     ScenarioSet,
     SerialBackend,
+    Session,
     sensitivity_sweep,
 )
 
@@ -187,9 +188,10 @@ def test_sensitivity_sweep_series_requires_pinning_free_axes():
 def test_sensitivity_sweep_pool_bit_identical_to_serial():
     axes = {"architecture": ["DTS", "MSS"],
             "testbed.link_bandwidth_bps": [1e9, 100e9]}
-    serial = sensitivity_sweep(tiny_config(), axes, backend=SerialBackend())
+    serial = sensitivity_sweep(tiny_config(), axes,
+                               session=Session(backend=SerialBackend()))
     pooled = sensitivity_sweep(tiny_config(), axes,
-                               backend=ProcessPoolBackend(2))
+                               session=Session(backend=ProcessPoolBackend(2)))
     assert serial.rows() == pooled.rows()
 
 

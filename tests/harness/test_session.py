@@ -1,6 +1,5 @@
 """Session API: construction, the named-backend registry, env/args
-constructors, the legacy-kwarg deprecation shim, and cross-backend
-byte-identity of the session vs legacy paths."""
+constructors, and cross-backend byte-identity of session sweeps."""
 
 from __future__ import annotations
 
@@ -11,6 +10,7 @@ import warnings
 
 import pytest
 
+from repro import core
 from repro.architectures import TestbedConfig
 from repro.harness import (
     ConsumerSweep,
@@ -26,19 +26,11 @@ from repro.harness import (
     backend_names,
     create_backend,
     register_backend,
-    resolve_backend,
     run_scenarios,
+    sensitivity_sweep,
     unregister_backend,
 )
-from repro.harness import session as session_module
-
-
-@pytest.fixture(autouse=True)
-def rearmed_legacy_warning():
-    """Each test sees the once-per-process warning as if fresh."""
-    session_module.reset_legacy_warning()
-    yield
-    session_module.reset_legacy_warning()
+from repro.harness import runner as runner_module
 
 
 def tiny_config(**overrides):
@@ -122,7 +114,7 @@ def test_unknown_backend_name_lists_registry():
 
 def test_registry_round_trip_and_overwrite_guard():
     assert {"serial", "process", "thread"} <= set(backend_names())
-    assert isinstance(resolve_backend("thread"), ThreadPoolBackend)
+    assert isinstance(Session(backend="thread").backend, ThreadPoolBackend)
 
     class RecordingBackend(SerialBackend):
         def __init__(self, jobs=None):
@@ -297,54 +289,53 @@ def test_from_args_without_execution_attrs_is_default():
 
 
 # ---------------------------------------------------------------------------
-# The legacy-kwarg deprecation shim
+# session= is the only execution argument
 # ---------------------------------------------------------------------------
 
-def test_legacy_kwargs_warn_exactly_once_per_process():
-    scenarios = one_point()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_scenarios(scenarios, jobs=1)
-        run_scenarios(scenarios, jobs=1)
-        ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(jobs=1)
-    deprecations = [entry for entry in caught
-                    if issubclass(entry.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "session=" in str(deprecations[0].message)
+#: Every public entry point that executes scenario points, called with its
+#: cheapest arguments plus whatever keywords the test passes.
+ENTRY_POINTS = {
+    "run_scenarios": lambda **kw: run_scenarios(one_point(), **kw),
+    "ConsumerSweep.run": lambda **kw: ConsumerSweep(
+        tiny_config(), architectures=["DTS"], consumer_counts=[2]).run(**kw),
+    "sensitivity_sweep": lambda **kw: sensitivity_sweep(
+        tiny_config(), {"consumers": [2]}, **kw),
+    **{name: getattr(core, name) for name in (
+        "compare_architectures", "deployment_comparison",
+        "architecture_comparison_rows", "architecture_comparison_text",
+        "figure4", "figure5", "figure6", "figure7", "figure8",
+        "figure_bandwidth_scaling", "figure_chaos_degradation",
+        "ablation_tunnel_type", "ablation_proxy_connections",
+        "ablation_mss_lb_bypass", "ablation_link_speed",
+        "ablation_work_queue_count", "ablation_network_layer_forwarding")},
+}
 
 
-def test_session_path_does_not_warn():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Session().run(one_point())
-        run_scenarios(one_point(), session=Session())
-    assert not [entry for entry in caught
-                if issubclass(entry.category, DeprecationWarning)]
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_entry_points_reject_jobs_keyword(entry_point, monkeypatch):
+    """``jobs=`` is a TypeError at every entry point, raised before any
+    point is simulated: ``session=`` is the only execution argument."""
+    def refuse(point):
+        raise AssertionError(f"{entry_point} simulated {point.label}")
 
-
-def test_mixing_session_and_legacy_kwargs_raises():
-    with pytest.raises(TypeError, match="session="):
-        run_scenarios(one_point(), session=Session(), jobs=2)
-    with pytest.raises(TypeError, match="jobs/policy"):
-        ConsumerSweep(tiny_config(), architectures=["DTS"],
-                      consumer_counts=[2]).run(
-            session=Session(), jobs=2, policy=ExecutionPolicy(retries=1))
+    monkeypatch.setattr(runner_module, "execute_point", refuse)
+    with pytest.raises(TypeError, match="jobs"):
+        ENTRY_POINTS[entry_point](jobs=1)
 
 
 @pytest.mark.parametrize("backend_name", ["serial", "process", "thread"])
 def test_legacy_and_session_sweeps_byte_identical(backend_name):
-    """Acceptance: a legacy-kwarg call and the equivalent session= call
-    produce byte-identical SweepResult JSON on every named backend."""
+    """Acceptance: a sweep under ``Session(backend=name, jobs=2)``
+    produces SweepResult JSON byte-identical to a plain ``Session()``
+    sweep on every named backend."""
     base = tiny_config()
     sweep_kwargs = dict(architectures=["DTS", "MSS"], consumer_counts=[1, 2])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = ConsumerSweep(base, **sweep_kwargs).run(
-            backend=resolve_backend(backend_name, 2))
-    with Session(backend=backend_name, jobs=2) as session:
-        modern = ConsumerSweep(base, **sweep_kwargs).run(session=session)
-    assert sweep_json(legacy) == sweep_json(modern)
+    reference = ConsumerSweep(base, **sweep_kwargs).run(session=Session())
+    # jobs=2 on the serial backend only draws the no-effect RuntimeWarning.
+    jobs = None if backend_name == "serial" else 2
+    with Session(backend=backend_name, jobs=jobs) as session:
+        named = ConsumerSweep(base, **sweep_kwargs).run(session=session)
+    assert sweep_json(reference) == sweep_json(named)
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,9 @@ def test_store_get_blocks_until_put():
     env.process(producer(env, store))
     env.run()
     assert times == [4.0]
+    # A pending get cannot be withdrawn: no cancel() that silently does
+    # nothing while the get still takes the next item.
+    assert not hasattr(store.get(), "cancel")
 
 
 def test_store_capacity_blocks_put():
